@@ -140,10 +140,13 @@ def _deployment_from_args(args) -> DeploymentConfig:
 def _detector_from_args(args) -> DetectorConfig:
     model = NoError() if args.error == 0 else UniformAbsoluteError(args.error)
     return DetectorConfig(
-        ubf=UBFConfig(epsilon=args.epsilon, kernel=getattr(args, "kernel", "vectorized")),
+        ubf=UBFConfig(
+            epsilon=args.epsilon,
+            kernel=getattr(args, "kernel", UBFConfig().kernel),
+        ),
         iff=IFFConfig(theta=args.theta, ttl=args.ttl),
         localization_config=LocalizationConfig(
-            engine=getattr(args, "engine", "batch")
+            engine=getattr(args, "engine", LocalizationConfig().engine)
         ),
         error_model=model,
         localization=getattr(args, "localization", "auto"),
@@ -266,9 +269,7 @@ def cmd_bench(args) -> int:
             scenario_id=args.scenario_id,
             repeat=args.repeat,
             time_naive=not args.skip_naive,
-            engine=args.bench_engine,
             full_oracle=args.oracle,
-            ubf_kernel=args.ubf_kernel,
             tracer=tracer,
         )
     print(render_bench_table(results))
@@ -602,11 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel",
-        choices=("naive", "vectorized", "batched", "native"),
-        default="vectorized",
-        help="UBF emptiness-search kernel (naive is the slow oracle; "
-        "batched flattens all nodes into one workset; native adds the C "
-        "scan with numpy fallback)",
+        choices=("batched", "naive"),
+        default=UBFConfig().kernel,
+        help="UBF emptiness-search kernel (batched uses the C scan where "
+        "available; naive is the slow oracle)",
     )
     p.add_argument(
         "--localization",
@@ -616,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=("batch", "sparse", "pernode"),
-        default="batch",
+        choices=("sparse", "pernode"),
+        default=LocalizationConfig().engine,
         help="MDS frame-construction engine (sparse uses native kernels "
         "where available; pernode is the slow oracle)",
     )
@@ -709,18 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline-dir",
         default="benchmarks/baselines",
         help="directory holding the committed BENCH_<stage>.json baselines",
-    )
-    p.add_argument(
-        "--bench-engine",
-        default="sparse",
-        choices=("batch", "sparse"),
-        help="localization engine the bench times (pernode stays the oracle)",
-    )
-    p.add_argument(
-        "--ubf-kernel",
-        default="batched",
-        choices=("vectorized", "batched", "native"),
-        help="UBF kernel the ubf/e2e stages time (naive stays the oracle)",
     )
     p.add_argument(
         "--oracle",

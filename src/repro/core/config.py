@@ -30,27 +30,24 @@ class UBFConfig:
         of Algorithm 1 and is kept for the ablation bench (it floods the
         interior with false positives at realistic densities).
     kernel:
-        Emptiness-search implementation: ``"vectorized"`` (default) batches
-        all Eq.-1 candidate centers per node and checks emptiness via
-        chunked broadcasted distance matrices; ``"batched"`` flattens the
-        candidate balls of every node in a batch into one network-wide
-        workset and runs the emptiness waves with a single broadcast per
-        chunk (the wire-speed path for large networks); ``"native"`` uses
-        the batched enumeration with the C ``ubf_empty_check`` scan from
-        :mod:`repro.geometry.native` (graceful fallback to ``"batched"``
-        when no compiler is available); ``"naive"`` is the per-pair Python
-        oracle the other kernels are differentially tested against (see
-        docs/PERFORMANCE.md).  All produce identical results and counters.
+        Emptiness-search implementation: ``"batched"`` (default, the
+        production path) flattens the candidate balls of every node in a
+        slice into one network-wide workset and scans them with the C
+        ``ubf_empty_check`` kernel from :mod:`repro.geometry.native` when
+        it loads, otherwise with numpy emptiness waves; ``"naive"`` is the
+        per-pair Python oracle the batched kernel is differentially tested
+        against (see docs/PERFORMANCE.md).  Both produce identical results
+        and counters.
     chunk_size:
-        Candidate balls per distance-matrix batch in the vectorized and
-        batched kernels; the knob behind their early-exit strategy.
-        Ignored by ``"naive"``.
+        Candidate balls per node per numpy emptiness wave of the batched
+        kernel; the knob behind its early-exit strategy.  Ignored by the
+        native scan and by ``"naive"``.
     """
 
     epsilon: float = 1e-3
     ball_radius: Optional[float] = None
     collection_hops: int = 2
-    kernel: str = "vectorized"
+    kernel: str = "batched"
     chunk_size: int = 64
 
     def __post_init__(self):
@@ -60,10 +57,8 @@ class UBFConfig:
             raise ValueError("ball_radius must be positive")
         if self.collection_hops < 1:
             raise ValueError("collection_hops must be at least 1")
-        if self.kernel not in ("naive", "vectorized", "batched", "native"):
-            raise ValueError(
-                "kernel must be 'naive', 'vectorized', 'batched', or 'native'"
-            )
+        if self.kernel not in ("naive", "batched"):
+            raise ValueError("kernel must be 'naive' or 'batched'")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
 
@@ -80,23 +75,21 @@ class LocalizationConfig:
     Attributes
     ----------
     engine:
-        Frame-construction engine for MDS localization:
-        ``"batch"`` (default) builds every node's collection with one
-        multi-source BFS sweep and embeds equal-size frames as stacked
-        ``(B, m, m)`` MDS batches; ``"sparse"`` keeps the batch grouping
-        but runs completion/centering/SMACOF through on-demand native
-        kernels (graceful numpy fallback), several times faster at scale;
-        ``"pernode"`` is the scalar per-node oracle both other engines are
-        differentially tested against (exact members and SMACOF step
-        counts, coordinates within the documented float tolerance -- see
-        :mod:`repro.network.localization`).
+        Frame-construction engine for MDS localization: ``"sparse"``
+        (default, the production path) builds every node's collection
+        with one multi-source BFS sweep, groups equal-size frames, and
+        runs completion/centering/SMACOF through on-demand native kernels
+        (graceful numpy fallback); ``"pernode"`` is the scalar per-node
+        oracle it is differentially tested against (exact members and
+        SMACOF step counts, coordinates within the documented float
+        tolerance -- see :mod:`repro.network.localization`).
     """
 
-    engine: str = "batch"
+    engine: str = "sparse"
 
     def __post_init__(self):
-        if self.engine not in ("batch", "sparse", "pernode"):
-            raise ValueError("engine must be 'batch', 'sparse', or 'pernode'")
+        if self.engine not in ("sparse", "pernode"):
+            raise ValueError("engine must be 'sparse' or 'pernode'")
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ from repro.network.localization import (
     DEFAULT_ENGINE,
     LocalFrame,
     build_frames,
-    true_local_frame,
+    true_frames,
 )
 from repro.network.measurement import MeasuredDistances
 from repro.observability.tracer import ensure_tracer
@@ -91,7 +91,7 @@ MIN_PARALLEL_NODES = 64
 SHARD_SIZE = 128
 
 #: Nodes per localization shard.  Larger than :data:`SHARD_SIZE` because
-#: the batch engine amortizes its numpy call overhead across the frames of
+#: the sparse engine amortizes its numpy call overhead across the frames of
 #: a shard -- too-small shards would starve the size-grouped MDS batches.
 FRAME_SHARD_SIZE = 512
 
@@ -479,7 +479,7 @@ class _FrameShardTask:
                 trilateration_local_frame(graph, self.measured, n, hops=self.hops)
                 for n in node_ids
             ]
-        return [true_local_frame(graph, n, hops=self.hops) for n in node_ids]
+        return true_frames(graph, node_ids, self.hops)
 
     def counters(self, results: List[LocalFrame]) -> Dict[str, Any]:
         return frame_span_counters(results)
@@ -747,7 +747,7 @@ def run_frames_parallel(
 ) -> List[LocalFrame]:
     """Step (I) over the whole network, sharded across worker processes.
 
-    Builds every node's local frame once -- through the batched
+    Builds every node's local frame once -- through the sparse
     localization engine by default -- so downstream stages (UBF, quality
     diagnostics) reuse them instead of re-localizing per node.  Output is
     ordered as ``nodes`` (node-ID order by default) and byte-identical for

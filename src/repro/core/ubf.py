@@ -61,10 +61,12 @@ class UBFNodeOutcome:
 
 
 #: Nodes classified per :func:`repro.geometry.ballfit.empty_ball_exists_batch`
-#: call when ``UBFConfig.kernel`` is batched/native.  Purely a memory bound
-#: on the flattened candidate arrays (a few hundred MB at degree ~24);
-#: results are per-node and independent of the slicing.
-UBF_BATCH_NODES = 8192
+#: call when ``UBFConfig.kernel`` is ``"batched"``.  Purely a memory bound
+#: on the flattened candidate arrays: a 256-node slice keeps them to a few
+#: MB at degree ~24, while one C scan call still amortizes the Python
+#: dispatch over hundreds of nodes.  Results are per-node and independent
+#: of the slicing (see docs/PERFORMANCE.md for the RSS measurements).
+UBF_BATCH_NODES = 256
 
 
 def ubf_classify_frame(
@@ -72,7 +74,7 @@ def ubf_classify_frame(
     radius: float,
     *,
     find_first: bool = True,
-    kernel: str = "vectorized",
+    kernel: str = "batched",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> BallFitResult:
     """Run the UBF emptiness search inside one node's local frame.
@@ -81,7 +83,7 @@ def ubf_classify_frame(
     node knows (its own embedded position, its one-hop neighbors as pair
     candidates, and its full collection as the emptiness-check set), so the
     call is localized by construction.  ``kernel`` selects the naive oracle
-    or the vectorized implementation; both yield identical results.
+    or the batched implementation; both yield identical results.
     """
     return empty_ball_exists(
         frame.origin_coordinates,
@@ -199,7 +201,7 @@ def _run_ubf_nodes(
         return true_local_frame(graph, node, hops=hops)
 
     node_list = list(node_ids)
-    if config.kernel in ("batched", "native"):
+    if config.kernel == "batched":
         return _run_ubf_nodes_batched(
             node_list, frame_of, radius, config, find_first
         )
@@ -232,14 +234,13 @@ def _run_ubf_nodes_batched(
     config: UBFConfig,
     find_first: bool,
 ) -> List[UBFNodeOutcome]:
-    """Batched/native classification: whole node slices per kernel call.
+    """Batched classification: whole node slices per kernel call.
 
     Frames are still built one node at a time (that is the localization
     stage's job), but the emptiness search runs network-wide through
     :func:`repro.geometry.ballfit.empty_ball_exists_batch` in slices of
-    :data:`UBF_BATCH_NODES`, eliminating the per-node dispatch of the
-    vectorized kernel.  Outcome order and observables are identical to the
-    per-node loop.
+    :data:`UBF_BATCH_NODES`, eliminating per-node kernel dispatch.
+    Outcome order and observables are identical to the per-node loop.
     """
     outcomes: List[UBFNodeOutcome] = []
     for s in range(0, len(node_list), UBF_BATCH_NODES):
@@ -253,7 +254,6 @@ def _run_ubf_nodes_batched(
             radius,
             check_sets=[f.collection_coordinates for f in batch_frames],
             find_first=find_first,
-            kernel=config.kernel,
             chunk_size=config.chunk_size,
         )
         for node, frame, fit in zip(chunk, batch_frames, fits):

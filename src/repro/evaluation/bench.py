@@ -17,8 +17,8 @@ Two kinds of observables with two kinds of tolerance:
   node, lost early exits) on any hardware, with no timing flakiness.
 * **Wall times** vary across machines, so the absolute check uses a wide
   multiplicative band; the portable speed gates are *relative* speedups
-  measured locally in one process -- the vectorized UBF kernel over the
-  in-repo naive oracle, and the batched localization engine over the
+  measured locally in one process -- the batched UBF kernel over the
+  in-repo naive oracle, and the sparse localization engine over the
   per-node oracle.
 
 Artifacts are plain JSON (schema below) so trend tooling can diff them
@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import IFFConfig, UBFConfig
+from repro.core.config import IFFConfig, LocalizationConfig, UBFConfig
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import run_iff
 from repro.core.ubf import candidates_from_outcomes, ubf_classify_frame
@@ -60,7 +60,7 @@ from repro.network.generator import DeploymentConfig, generate_network
 from repro.network.localization import (
     _collect_frame_metas,
     build_frames,
-    true_local_frame,
+    true_frames,
 )
 from repro.network.measurement import UniformAbsoluteError, measure_distances
 from repro.observability.export import write_atomic
@@ -78,12 +78,6 @@ STAGES = ("localization", "ubf", "iff", "grouping", "mesh")
 #: Every stage name `repro-bench` accepts, renderable order.
 ALL_STAGES = STAGES + ("e2e",)
 
-#: UBF kernel the bench times by default: the network-batched kernel is
-#: the production hot path.  The numpy waves (not the native C scan) keep
-#: the committed wall-time baselines meaningful on runners without a C
-#: compiler; ``--ubf-kernel native`` opts in to the C path.
-DEFAULT_BENCH_KERNEL = "batched"
-
 #: Node-slice size of the e2e stage's UBF pass; memory bound only (the
 #: flattened candidate arrays of a slice stay a few hundred MB at the
 #: pinned degree), never observable in results.
@@ -98,7 +92,7 @@ DEFAULT_TIME_FACTOR = 3.0
 #: float-ordering differences across numpy builds.
 DEFAULT_COUNTER_RTOL = 0.02
 
-#: Required vectorized-over-naive UBF kernel speedup (the PR acceptance
+#: Required batched-over-naive UBF kernel speedup (the PR acceptance
 #: criterion is 2x; the committed baseline is far above it).
 DEFAULT_MIN_SPEEDUP = 2.0
 
@@ -112,9 +106,9 @@ DEFAULT_MIN_ENGINE_SPEEDUP = 3.0
 #: that starts materializing quadratically more memory still trips it.
 DEFAULT_RSS_FACTOR = 2.0
 
-#: Engine the localization bench times by default.  The pernode oracle
-#: side of the gate is engine-independent.
-DEFAULT_LOCALIZATION_ENGINE = "sparse"
+#: Engine the localization bench times by default: the production engine.
+#: The pernode oracle side of the gate is engine-independent.
+DEFAULT_LOCALIZATION_ENGINE = LocalizationConfig().engine
 
 #: Target size of the pinned pernode-oracle node sample.  The full oracle
 #: re-run used to dominate the bench (~4x the timed engine at 2k); the
@@ -232,9 +226,9 @@ def build_context(
 ) -> BenchContext:
     """Generate the pinned network and per-node frames for a bench run.
 
-    ``with_frames=False`` skips the per-node ground-truth frames (a Python
-    loop over every node) -- the localization bench never reads them, and
-    at ``loc_20k`` scale building them would dwarf the stage being timed.
+    ``with_frames=False`` skips the per-node ground-truth frames -- the
+    localization bench never reads them, and at ``loc_20k`` scale building
+    them would dwarf the stage being timed.
     """
     cfg = ubf_config if ubf_config is not None else UBFConfig()
     network = generate_network(
@@ -243,14 +237,7 @@ def build_context(
         scenario=scenario.shape,
     )
     graph = network.graph
-    frames = (
-        [
-            true_local_frame(graph, node, hops=cfg.collection_hops)
-            for node in range(graph.n_nodes)
-        ]
-        if with_frames
-        else []
-    )
+    frames = true_frames(graph, hops=cfg.collection_hops) if with_frames else []
     return BenchContext(
         scenario=scenario,
         network=network,
@@ -262,29 +249,18 @@ def build_context(
 
 def _classify_all(ctx: BenchContext, kernel: str) -> List[object]:
     cfg = ctx.ubf_config
-    if kernel in ("batched", "native"):
-        frames = ctx.frames
-        return empty_ball_exists_batch(
-            np.stack([f.origin_coordinates for f in frames])
-            if frames
-            else np.empty((0, 3)),
-            [f.neighbor_coordinates for f in frames],
-            cfg.radius,
-            check_sets=[f.collection_coordinates for f in frames],
-            find_first=True,
-            kernel=kernel,
-            chunk_size=cfg.chunk_size,
-        )
-    return [
-        ubf_classify_frame(
-            frame,
-            cfg.radius,
-            find_first=True,
-            kernel=kernel,
-            chunk_size=cfg.chunk_size,
-        )
-        for frame in ctx.frames
-    ]
+    frames = ctx.frames
+    if kernel == "naive":
+        return [ubf_classify_frame(f, cfg.radius, kernel="naive") for f in frames]
+    return empty_ball_exists_batch(
+        np.stack([f.origin_coordinates for f in frames])
+        if frames
+        else np.empty((0, 3)),
+        [f.neighbor_coordinates for f in frames],
+        cfg.radius,
+        check_sets=[f.collection_coordinates for f in frames],
+        chunk_size=cfg.chunk_size,
+    )
 
 
 def bench_ubf(
@@ -292,17 +268,16 @@ def bench_ubf(
     repeat: int,
     *,
     time_naive: bool = True,
-    kernel: str = DEFAULT_BENCH_KERNEL,
 ) -> dict:
     """Time the UBF emptiness kernel over all node frames.
 
     Frame construction is excluded -- it is shared by every kernel and by
     every localization mode; what is timed is exactly the per-node
-    candidate-enumeration + emptiness-check work Theorem 1 bounds.
-    ``kernel`` selects the timed implementation (the batched network-wide
-    kernel by default); the naive oracle side of the ``speedup_vs_naive``
-    gate is kernel-independent.
+    candidate-enumeration + emptiness-check work Theorem 1 bounds, through
+    the context's kernel (the production ``batched`` kernel by default),
+    against the naive oracle for the ``speedup_vs_naive`` gate.
     """
+    kernel = ctx.ubf_config.kernel
     median, timings, fits = _median_time(lambda: _classify_all(ctx, kernel), repeat)
     balls = np.array([f.balls_tested for f in fits], dtype=float)
     checks = np.array([f.points_checked for f in fits], dtype=float)
@@ -447,7 +422,7 @@ def bench_localization(
 
 def bench_iff(ctx: BenchContext, repeat: int) -> dict:
     """Time Isolated Fragment Filtering on the UBF candidate set."""
-    fits = _classify_all(ctx, DEFAULT_BENCH_KERNEL)
+    fits = _classify_all(ctx, ctx.ubf_config.kernel)
     candidates = {i for i, f in enumerate(fits) if f.is_boundary}
     graph = ctx.network.graph
     median, timings, boundary = _median_time(
@@ -463,7 +438,7 @@ def bench_iff(ctx: BenchContext, repeat: int) -> dict:
 
 def bench_grouping(ctx: BenchContext, repeat: int) -> dict:
     """Time boundary grouping on the IFF-filtered boundary set."""
-    fits = _classify_all(ctx, DEFAULT_BENCH_KERNEL)
+    fits = _classify_all(ctx, ctx.ubf_config.kernel)
     candidates = {i for i, f in enumerate(fits) if f.is_boundary}
     graph = ctx.network.graph
     boundary = run_iff(graph, candidates, ctx.iff_config)
@@ -480,7 +455,7 @@ def bench_grouping(ctx: BenchContext, repeat: int) -> dict:
 
 def bench_mesh(ctx: BenchContext, repeat: int) -> dict:
     """Time triangular boundary-surface construction on the groups."""
-    fits = _classify_all(ctx, DEFAULT_BENCH_KERNEL)
+    fits = _classify_all(ctx, ctx.ubf_config.kernel)
     candidates = {i for i, f in enumerate(fits) if f.is_boundary}
     graph = ctx.network.graph
     boundary = run_iff(graph, candidates, ctx.iff_config)
@@ -502,7 +477,6 @@ def _ubf_candidates_scale(
     network,
     ubf_config: UBFConfig,
     *,
-    kernel: str = DEFAULT_BENCH_KERNEL,
     slice_size: int = E2E_UBF_SLICE,
 ) -> Tuple[set, int, int]:
     """UBF candidacy for every node via the array-native batch path.
@@ -551,7 +525,6 @@ def _ubf_candidates_scale(
             probe_ptr,
             ubf_config.radius,
             find_first=True,
-            kernel=kernel,
             chunk_size=ubf_config.chunk_size,
         )
         for i, fit in enumerate(fits):
@@ -562,9 +535,7 @@ def _ubf_candidates_scale(
     return candidates, total_balls, total_checked
 
 
-def bench_e2e(
-    ctx: BenchContext, repeat: int, *, kernel: str = DEFAULT_BENCH_KERNEL
-) -> dict:
+def bench_e2e(ctx: BenchContext, repeat: int) -> dict:
     """Time one full generate -> UBF -> IFF -> grouping pass.
 
     The 100k-scale check behind ROADMAP item 3: everything -- deployment
@@ -584,7 +555,7 @@ def bench_e2e(
         )
         graph = network.graph
         candidates, total_balls, total_checked = _ubf_candidates_scale(
-            network, cfg, kernel=kernel
+            network, cfg
         )
         boundary = run_iff(graph, candidates, ctx.iff_config)
         groups = group_boundary_nodes(graph, boundary)
@@ -599,7 +570,7 @@ def bench_e2e(
 
     median, timings, counters = _median_time(run, repeat, warmup=False)
     doc = _artifact("e2e", ctx, repeat, median, timings, counters)
-    doc["kernel"] = kernel
+    doc["kernel"] = cfg.kernel
     doc["native_available"] = load_kernels() is not None
     doc["chunk_size"] = cfg.chunk_size
     return doc
@@ -643,9 +614,7 @@ def run_bench(
     scenario_id: str = DEFAULT_SCENARIO,
     repeat: int = 5,
     time_naive: bool = True,
-    engine: str = DEFAULT_LOCALIZATION_ENGINE,
     full_oracle: bool = False,
-    ubf_kernel: str = DEFAULT_BENCH_KERNEL,
     tracer=None,
     registry=None,
 ) -> Dict[str, dict]:
@@ -657,7 +626,7 @@ def run_bench(
     -- the traced twin of the ``BENCH_<stage>.json`` artifacts.
     ``time_naive`` toggles the slow oracle sides of the relative speed
     gates (the naive UBF kernel and the pernode localization engine);
-    ``engine``/``full_oracle`` parameterize the localization stage.
+    ``full_oracle`` parameterizes the localization stage.
 
     Each stage also records the process peak RSS after it finishes into
     ``registry`` (a :class:`repro.observability.metrics.MetricsRegistry`,
@@ -697,17 +666,14 @@ def run_bench(
         for stage in stages:
             with tracer.span(f"bench.{stage}") as stage_span:
                 if stage == "ubf":
-                    doc = bench_ubf(
-                        ctx, repeat, time_naive=time_naive, kernel=ubf_kernel
-                    )
+                    doc = bench_ubf(ctx, repeat, time_naive=time_naive)
                 elif stage == "e2e":
-                    doc = bench_e2e(ctx, repeat, kernel=ubf_kernel)
+                    doc = bench_e2e(ctx, repeat)
                 elif stage == "localization":
                     doc = bench_localization(
                         ctx,
                         repeat,
                         time_pernode=time_naive,
-                        engine=engine,
                         full_oracle=full_oracle,
                     )
                 else:
@@ -813,7 +779,7 @@ def compare_artifact(
         cur_speedup = float(current.get("speedup_vs_naive", 0.0))
         if cur_speedup < min_speedup:
             issues.append(
-                f"{stage}: vectorized kernel speedup over naive oracle is "
+                f"{stage}: batched kernel speedup over naive oracle is "
                 f"{cur_speedup:.2f}x, below the required {min_speedup}x"
             )
         if current.get("kernels_agree") is False:

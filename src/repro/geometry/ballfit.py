@@ -19,41 +19,30 @@ boundary node.
 
 Kernels
 -------
-The emptiness search ships in four interchangeable implementations selected
-by the ``kernel`` argument of :func:`empty_ball_exists` (and batch-wide by
+The emptiness search ships in two implementations selected by the
+``kernel`` argument of :func:`empty_ball_exists` (and batch-wide by
 :func:`empty_ball_exists_batch`):
+
+``"batched"`` (default)
+    The production kernel: candidate balls of *all* nodes in a batch are
+    flattened into one node-major, pair-major workset (one Eq.-1
+    evaluation over every neighbor pair of every node) and scanned by the
+    ``ubf_empty_check`` C kernel (:mod:`repro.geometry.native`) -- a true
+    per-point early-exit loop per candidate, one call per batch.  When no
+    C compiler is available or ``REPRO_NATIVE=0`` disables native kernels,
+    the scan runs in numpy instead, in synchronized waves: each wave
+    advances every still-active node by ``chunk_size`` candidates with one
+    broadcast distance computation for the whole batch.  Both scans give
+    bit-identical results.
 
 ``"naive"``
     The literal per-pair reading of Algorithm 1: a Python loop over neighbor
     pairs, the scalar Eq.-1 solver per pair, and a point-by-point probe loop
     per candidate ball.  Slow by design -- it is the differential-test
-    oracle the other kernels are checked against, and the baseline the
+    oracle the batched kernel is checked against, and the baseline the
     ``repro-bench`` speedup criterion is measured from.
 
-``"vectorized"``
-    All candidate centers for the node are produced in one batched Eq.-1
-    evaluation (:func:`balls_through_point_pairs`) and emptiness is decided
-    from broadcasted distance matrices, processed in chunks of
-    ``chunk_size`` candidates so the common "an empty ball appears early"
-    case exits before touching the remaining candidates.
-
-``"batched"``
-    The network-batched kernel: candidate balls of *all* nodes in a batch
-    are flattened into one node-major, pair-major workset (one Eq.-1
-    evaluation over every neighbor pair of every node), and emptiness runs
-    in synchronized waves -- each wave advances every still-active node by
-    ``chunk_size`` candidates with one broadcast distance computation for
-    the whole batch, so the per-node Python dispatch of the vectorized
-    kernel disappears while the chunk-granular early exit is preserved.
-
-``"native"``
-    The batched enumeration above, with the emptiness scan handed to the
-    ``ubf_empty_check`` C kernel (:mod:`repro.geometry.native`): a true
-    per-point early-exit loop per candidate, one call per batch.  Falls
-    back to ``"batched"`` -- same results by construction -- when no C
-    compiler is available or ``REPRO_NATIVE=0`` disables native kernels.
-
-All kernels enumerate candidates in the same canonical order (node-major,
+Both kernels enumerate candidates in the same canonical order (node-major,
 lexicographic neighbor pairs, the ``+offset`` center before the ``-offset``
 center) and report identical observables: the same boundary verdict, the
 same witness ball, and the same ``balls_tested`` / ``points_checked``
@@ -86,9 +75,9 @@ INSIDE_TOL = 1e-7
 COINCIDENT_TOL = 1e-7
 
 #: Kernel names accepted by :func:`empty_ball_exists`.
-KERNELS = ("naive", "vectorized", "batched", "native")
+KERNELS = ("naive", "batched")
 
-#: Candidate balls processed per distance-matrix batch in the vectorized
+#: Candidate balls per node per numpy emptiness wave of the batched
 #: kernel.  Small enough that a boundary node whose first empty ball sits
 #: among the early pairs never materializes the full candidate family,
 #: large enough that interior nodes amortize the numpy dispatch overhead.
@@ -347,68 +336,6 @@ def _naive_search(
     )
 
 
-def _vectorized_search(
-    origin: np.ndarray,
-    pts: np.ndarray,
-    check: np.ndarray,
-    radius: float,
-    find_first: bool,
-    chunk_size: int,
-) -> BallFitResult:
-    """Batched kernel: one Eq.-1 evaluation, chunked distance matrices."""
-    centers, pairs = balls_through_point_pairs(origin, pts, radius)
-    n_candidates = centers.shape[0]
-    if n_candidates == 0:
-        return BallFitResult(is_boundary=True, balls_tested=0, points_checked=0)
-
-    all_points = np.vstack([origin[None, :], check])
-    n_points = all_points.shape[0]
-    threshold = _inside_threshold(radius)
-
-    tested = 0
-    checked = 0
-    witness_idx = -1
-    for start in range(0, n_candidates, chunk_size):
-        chunk = centers[start : start + chunk_size]
-        diff = chunk[:, None, :] - all_points[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        inside = dist_sq < threshold
-        inside_any = inside.any(axis=1)
-        # Semantic probe count per ball: index of the first inside point
-        # plus one, or the full point set when the ball is empty -- exactly
-        # what the naive per-point loop performs.
-        probes = np.where(inside_any, inside.argmax(axis=1) + 1, n_points)
-        empty_local = np.flatnonzero(~inside_any)
-        if find_first and empty_local.size:
-            first = int(empty_local[0])
-            tested += first + 1
-            checked += int(probes[: first + 1].sum())
-            hit = start + first
-            return BallFitResult(
-                is_boundary=True,
-                empty_center=centers[hit].copy(),
-                witness_pair=(int(pairs[hit, 0]), int(pairs[hit, 1])),
-                balls_tested=tested,
-                points_checked=checked,
-            )
-        tested += chunk.shape[0]
-        checked += int(probes.sum())
-        if witness_idx < 0 and empty_local.size:
-            witness_idx = start + int(empty_local[0])
-
-    if witness_idx < 0:
-        return BallFitResult(
-            is_boundary=False, balls_tested=tested, points_checked=checked
-        )
-    return BallFitResult(
-        is_boundary=True,
-        empty_center=centers[witness_idx].copy(),
-        witness_pair=(int(pairs[witness_idx, 0]), int(pairs[witness_idx, 1])),
-        balls_tested=tested,
-        points_checked=checked,
-    )
-
-
 def empty_ball_exists(
     origin,
     neighbors,
@@ -416,7 +343,7 @@ def empty_ball_exists(
     *,
     check_points=None,
     find_first: bool = True,
-    kernel: str = "vectorized",
+    kernel: str = "batched",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> BallFitResult:
     """Search the candidate balls at ``origin`` for an empty one.
@@ -446,15 +373,14 @@ def empty_ball_exists(
         candidate and report the total count tested, which benches use to
         measure Theorem 1's complexity.
     kernel:
-        One of :data:`KERNELS`: ``"vectorized"`` (default) for the per-node
-        chunked-early-exit implementation, ``"naive"`` for the per-pair
-        Python oracle, ``"batched"``/``"native"`` for the network-batched
-        implementations (single-node facade over
-        :func:`empty_ball_exists_batch`).  All return identical results
-        and counters (see the module docstring).
+        One of :data:`KERNELS`: ``"batched"`` (default) for the
+        network-batched implementation (single-node facade over
+        :func:`empty_ball_exists_batch`), ``"naive"`` for the per-pair
+        Python oracle.  Both return identical results and counters (see
+        the module docstring).
     chunk_size:
-        Candidates per distance-matrix batch in the vectorized and batched
-        kernels; ignored by the naive kernel.
+        Candidates per numpy emptiness wave of the batched kernel; ignored
+        by the native scan and the naive kernel.
 
     Returns
     -------
@@ -482,17 +408,14 @@ def empty_ball_exists(
 
     if kernel == "naive":
         return _naive_search(origin, pts, check, radius, find_first)
-    if kernel in ("batched", "native"):
-        return empty_ball_exists_batch(
-            origin[None, :],
-            [pts],
-            radius,
-            check_sets=[check],
-            find_first=find_first,
-            kernel=kernel,
-            chunk_size=chunk_size,
-        )[0]
-    return _vectorized_search(origin, pts, check, radius, find_first, chunk_size)
+    return empty_ball_exists_batch(
+        origin[None, :],
+        [pts],
+        radius,
+        check_sets=[check],
+        find_first=find_first,
+        chunk_size=chunk_size,
+    )[0]
 
 
 def _batch_enumerate(
@@ -679,19 +602,17 @@ def _batched_search(
     radius: float,
     find_first: bool,
     chunk_size: int,
-    use_native: bool,
 ) -> List[BallFitResult]:
     """Network-batched emptiness search over a batch of nodes.
 
     Candidates are enumerated once for the whole batch
-    (:func:`_batch_enumerate`), then scanned either by the native
-    ``ubf_empty_check`` kernel (one C call) or in numpy waves: every wave
-    advances each still-active node by ``chunk_size`` candidates with one
-    broadcast for the entire batch, so a boundary node stops contributing
-    work at the wave after its witness -- the same chunk-granular early
-    exit the vectorized kernel performs per node, without its per-node
-    Python dispatch.  Counters are the semantic sequential work counts, so
-    they match the naive oracle exactly.
+    (:func:`_batch_enumerate`), then scanned by the native
+    ``ubf_empty_check`` kernel (one C call) when it loads, otherwise in
+    numpy waves: every wave advances each still-active node by
+    ``chunk_size`` candidates with one broadcast for the entire batch, so
+    a boundary node stops contributing work at the wave after its witness.
+    Counters are the semantic sequential work counts, so they match the
+    naive oracle exactly.
     """
     n_nodes = origins.shape[0]
     centers, pairs, _, cand_ptr = _batch_enumerate(
@@ -704,7 +625,7 @@ def _batched_search(
     checked = np.zeros(n_nodes, dtype=np.int64)
     witness = np.full(n_nodes, -1, dtype=np.int64)
 
-    native = _native_ubf_kernels() if use_native and centers.shape[0] else None
+    native = _native_ubf_kernels() if centers.shape[0] else None
     if native is not None:
         native.ubf_empty_check(
             centers,
@@ -822,7 +743,6 @@ def empty_ball_exists_batch_arrays(
     radius: float,
     *,
     find_first: bool = True,
-    kernel: str = "batched",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> List[BallFitResult]:
     """Batch emptiness search over pre-flattened per-node arrays.
@@ -835,8 +755,6 @@ def empty_ball_exists_batch_arrays(
     flattened collections (the 100k-scale pipeline) avoid any per-node
     Python assembly.
     """
-    if kernel not in ("batched", "native"):
-        raise ValueError(f"kernel must be 'batched' or 'native', got {kernel!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     origins = as_points(origins)
@@ -854,7 +772,6 @@ def empty_ball_exists_batch_arrays(
         radius,
         find_first,
         chunk_size,
-        kernel == "native",
     )
 
 
@@ -865,7 +782,6 @@ def empty_ball_exists_batch(
     *,
     check_sets: Optional[Sequence] = None,
     find_first: bool = True,
-    kernel: str = "batched",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> List[BallFitResult]:
     """Run the UBF emptiness search for a whole batch of nodes at once.
@@ -874,8 +790,8 @@ def empty_ball_exists_batch(
     ``neighbor_sets[i]`` the ``(m_i, 3)`` one-hop neighbors of node ``i``
     and ``check_sets[i]`` its emptiness-check set (defaults to the
     neighbors, as in the single-node API).  Results are identical, node by
-    node, to calling :func:`empty_ball_exists` per node with any kernel --
-    the flattening changes only how the work is dispatched.
+    node, to calling :func:`empty_ball_exists` per node with either kernel
+    -- the flattening changes only how the work is dispatched.
     """
     origins = as_points(origins)
     n_nodes = origins.shape[0]
@@ -916,6 +832,5 @@ def empty_ball_exists_batch(
         probe_ptr,
         radius,
         find_first=find_first,
-        kernel=kernel,
         chunk_size=chunk_size,
     )

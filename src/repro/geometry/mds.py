@@ -18,10 +18,11 @@ Batched twins
 -------------
 Every step also has a batched twin operating on an ``(B, m, m)`` stack of
 same-size neighborhoods (:func:`complete_distance_matrix_batch`,
-:func:`classical_mds_batch`, :func:`smacof_refine_batch`, composed by
-:func:`local_mds_embedding_batch`).  Stacking ``B`` same-size problems
-amortizes numpy call overhead ``B``-fold and lets the LAPACK stages
-(``eigh``, ``pinv``) run as gufunc loops instead of one call per node.
+:func:`classical_mds_batch`, :func:`smacof_refine_batch`); the ``sparse``
+localization engine's numpy fallback runs on them.  Stacking ``B``
+same-size problems amortizes numpy call overhead ``B``-fold and lets the
+LAPACK stages (``eigh``, ``pinv``) run as gufunc loops instead of one call
+per node.
 
 Two accuracy contracts apply.  :func:`complete_distance_matrix_batch` and
 :func:`classical_mds_batch` mirror the scalar implementations expression
@@ -737,47 +738,3 @@ def local_mds_embedding(
     if info is not None:
         info["smacof_iterations"] = n_steps
     return coords
-
-
-def local_mds_embedding_batch(
-    partial_distances: np.ndarray,
-    *,
-    n_components: int = 3,
-    missing_value: float = np.inf,
-    refine: bool = True,
-    refine_iterations: int = 30,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`local_mds_embedding` over an ``(B, m, m)`` stack.
-
-    The batched-engine hot path: completes, embeds, and refines ``B``
-    same-size neighborhoods at once.  Slice ``b`` of the returned
-    coordinate stack matches the scalar composition on
-    ``partial_distances[b]`` within :data:`SMACOF_BATCH_COORD_TOL` (the
-    completion and classical-MDS stages are bit-identical; the refinement
-    reorders float reductions, see :func:`smacof_refine_batch`), and the
-    step counts match exactly.
-
-    Returns
-    -------
-    (coords, steps):
-        ``(B, m, n_components)`` embedded stack and the ``(B,)`` SMACOF
-        step counts (zeros when ``refine`` is off).
-    """
-    partial = np.asarray(partial_distances, dtype=float)
-    if partial.ndim != 3 or partial.shape[1] != partial.shape[2]:
-        raise ValueError("partial distance stack must be (B, m, m)")
-    completed = complete_distance_matrix_batch(partial, missing_value=missing_value)
-    coords = classical_mds_batch(completed, n_components=n_components)
-    steps = np.zeros(partial.shape[0], dtype=int)
-    if refine:
-        measured_mask = np.isfinite(partial) if np.isinf(missing_value) else (
-            partial != missing_value
-        )
-        weights = measured_mask.astype(float)
-        diag = np.arange(partial.shape[1])
-        weights[:, diag, diag] = 0.0
-        coords, steps = smacof_refine_batch(
-            coords, np.where(measured_mask, partial, 0.0), weights,
-            iterations=refine_iterations,
-        )
-    return coords, steps

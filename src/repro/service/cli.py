@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core.config import LocalizationConfig
 from repro.service.budgets import JobBudget
 from repro.service.jobstore import JobSpec, JobStore, RetryBackoff
 from repro.service.worker import Worker
@@ -42,8 +43,8 @@ def _add_submit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ttl", type=int, default=3)
     parser.add_argument("--localization", default="auto",
                         choices=["auto", "mds", "trilateration", "true"])
-    parser.add_argument("--engine", default="batch",
-                        choices=["batch", "sparse", "pernode"])
+    parser.add_argument("--engine", default=LocalizationConfig().engine,
+                        choices=["sparse", "pernode"])
     parser.add_argument("--workers", type=int, default=1,
                         help="pipeline worker processes inside the job")
     parser.add_argument("--no-surface", action="store_true",

@@ -61,6 +61,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.config import LocalizationConfig
 from repro.observability.export import write_atomic, write_trace
 from repro.observability.metrics import MetricsRegistry
 
@@ -125,7 +126,7 @@ class JobSpec:
     theta: int = 20
     ttl: int = 3
     localization: str = "auto"
-    engine: str = "batch"
+    engine: str = LocalizationConfig().engine
     workers: int = 1
     surface: bool = True
     surface_k: int = 4
@@ -133,6 +134,10 @@ class JobSpec:
 
     #: Fields excluded from the cache key (operational, not semantic).
     OPERATIONAL_FIELDS = ("test_delay_seconds",)
+
+    #: Retired localization engine names still found in stored job
+    #: records, mapped to the engine that now runs them.
+    LEGACY_ENGINES = {"batch": "sparse"}
 
     def semantic_dict(self) -> Dict[str, Any]:
         """The cache-key payload: every field that changes the result."""
@@ -151,6 +156,10 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "JobSpec":
+        doc = dict(doc)
+        engine = doc.get("engine")
+        if engine in cls.LEGACY_ENGINES:
+            doc["engine"] = cls.LEGACY_ENGINES[engine]
         return cls(**doc)
 
 

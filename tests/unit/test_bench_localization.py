@@ -69,9 +69,9 @@ class TestBenchLocalizationStage:
         assert doc["oracle_nodes"] == TINY.n_surface + TINY.n_interior
         assert doc["engines_agree"] is True
 
-    def test_batch_engine_still_benchable(self):
-        doc = bench_localization(build_context(TINY), repeat=1, engine="batch")
-        assert doc["engine"] == "batch"
+    def test_pernode_engine_still_benchable(self):
+        doc = bench_localization(build_context(TINY), repeat=1, engine="pernode")
+        assert doc["engine"] == "pernode"
         assert doc["engines_agree"] is True
 
     def test_skip_pernode_omits_gate_fields(self):

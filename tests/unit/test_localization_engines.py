@@ -1,7 +1,7 @@
-"""Differential tests for the batched and sparse localization engines.
+"""Differential tests for the sparse localization engine and true frames.
 
 The engine contract (see :mod:`repro.network.localization`): for every
-node, ``batch``, ``sparse``, and ``pernode`` produce the same member
+node, ``sparse`` and the ``pernode`` oracle produce the same member
 list, the same one-hop count, and *exactly* the same SMACOF iteration
 count, with coordinates within
 :data:`repro.geometry.mds.SMACOF_BATCH_COORD_TOL`.  The contract is
@@ -10,7 +10,9 @@ ranging and the paper's 30% measured-mode error), at the exact member
 counts that straddle the scalar-fallback boundary, and on degenerate
 (single-member, fully collinear) frames.  A property test additionally
 pins the sparse shortest-path completion to the dense Floyd-Warshall
-relaxation within the same 1e-9 tolerance, unreachable pairs included.
+relaxation within the same 1e-9 tolerance, unreachable pairs included,
+and the swept ground-truth frames (:func:`true_frames`) are pinned
+byte-identical to the per-node :func:`true_local_frame` oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from repro.network.localization import (
     build_frames,
     establish_local_frame,
     frame_distance_residual,
+    true_frames,
+    true_local_frame,
 )
 from repro.network.measurement import (
     NoError,
@@ -49,7 +53,7 @@ NOISE_MODELS = {
     "measured_30pct": UniformAbsoluteError(0.3),
 }
 
-ENGINES_UNDER_TEST = ("batch", "sparse")
+ENGINES_UNDER_TEST = ("sparse",)
 
 
 def _small_network(scenario: str):
@@ -172,7 +176,7 @@ class TestExactMemberCounts:
     """The scalar-fallback boundary: frames of exactly 7, 8, and 9 members.
 
     :data:`SCALAR_FALLBACK_MEMBERS` (= 8) routes sub-threshold frames to
-    the scalar MDS kernel inside the batched engines; 7/8/9 pin the
+    the scalar MDS kernel inside the sparse engine; 7/8/9 pin the
     below/at/above cases so a routing bug on either side of the boundary
     cannot hide in mixed-size networks.
     """
@@ -324,8 +328,10 @@ class TestResidualVectorization:
 
 class TestLocalizationConfig:
     def test_defaults_to_batch(self):
-        assert LocalizationConfig().engine == "batch"
-        assert DetectorConfig().localization_config.engine == "batch"
+        """Production defaults: the sparse engine and the batched kernel."""
+        assert LocalizationConfig().engine == "sparse"
+        assert DetectorConfig().localization_config.engine == "sparse"
+        assert DetectorConfig().ubf.kernel == "batched"
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
@@ -342,3 +348,33 @@ class TestLocalizationConfig:
             schema.resolve_chain("DetectorConfig", "localization_config")
             == "LocalizationConfig"
         )
+
+
+class TestTrueFrames:
+    """The swept ground-truth frames against the per-node oracle."""
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_every_node_matches_true_local_frame(self, hops):
+        network = generate_network(
+            scenario_by_name("two_holes"),
+            DeploymentConfig(
+                n_surface=150, n_interior=250, target_degree=18.0, seed=13
+            ),
+            scenario="two_holes",
+        )
+        graph = network.graph
+        swept = true_frames(graph, hops=hops)
+        assert [f.node for f in swept] == list(range(graph.n_nodes))
+        for got in swept:
+            oracle = true_local_frame(graph, got.node, hops=hops)
+            assert got.members == oracle.members
+            assert got.n_one_hop == oracle.n_one_hop
+            assert got.smacof_iterations == 0
+            assert got.coordinates.dtype == oracle.coordinates.dtype
+            assert got.coordinates.tobytes() == oracle.coordinates.tobytes()
+
+    def test_node_subset_keeps_request_order(self):
+        network = _small_network("sphere")
+        nodes = [42, 0, 17, 5]
+        assert [f.node for f in true_frames(network.graph, nodes)] == nodes
+        assert true_frames(network.graph, []) == []

@@ -19,8 +19,8 @@ from repro.geometry.mds import (
     complete_distance_matrix,
     complete_distance_matrix_batch,
     local_mds_embedding,
-    local_mds_embedding_batch,
     smacof_refine,
+    smacof_refine_batch,
     smacof_refine_counted,
 )
 
@@ -39,6 +39,19 @@ def _random_partial_stack(rng, b, m, missing_fraction=0.4):
         np.fill_diagonal(dist, 0.0)
         stack.append(dist)
     return np.stack(stack)
+
+
+def _embed_stack(partial, *, iterations=30):
+    """The batched twin of ``local_mds_embedding``: completion, classical
+    MDS and SMACOF against the measured entries, slice by slice."""
+    coords = classical_mds_batch(complete_distance_matrix_batch(partial))
+    measured = np.isfinite(partial)
+    weights = measured.astype(float)
+    diag = np.arange(partial.shape[1])
+    weights[:, diag, diag] = 0.0
+    return smacof_refine_batch(
+        coords, np.where(measured, partial, 0.0), weights, iterations=iterations
+    )
 
 
 class TestInPlaceFloydWarshall:
@@ -85,7 +98,7 @@ class TestBatchedClassicalMDS:
 class TestBatchedSmacof:
     def test_matches_scalar_within_tol_with_exact_steps(self, rng):
         stack = _random_partial_stack(rng, 13, 16)
-        coords, steps = local_mds_embedding_batch(stack)
+        coords, steps = _embed_stack(stack)
         for i in range(stack.shape[0]):
             info = {}
             scalar = local_mds_embedding(stack[i], info=info)
@@ -106,9 +119,11 @@ class TestBatchedSmacof:
 
     def test_refine_off_reports_zero_steps(self, rng):
         stack = _random_partial_stack(rng, 4, 10)
-        coords, steps = local_mds_embedding_batch(stack, refine=False)
+        coords, steps = _embed_stack(stack, iterations=0)
         assert coords.shape == (4, 10, 3)
         assert np.array_equal(steps, np.zeros(4, dtype=int))
+        unrefined = classical_mds_batch(complete_distance_matrix_batch(stack))
+        assert np.array_equal(coords, unrefined)
 
     def test_early_convergers_freeze_while_others_refine(self, rng):
         """Per-slice stopping: a perfect slice stops early, a noisy one
@@ -117,7 +132,7 @@ class TestBatchedSmacof:
         exact = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         noisy = _random_partial_stack(rng, 1, 12)[0]
         stack = np.stack([exact, noisy])
-        _, steps = local_mds_embedding_batch(stack)
+        _, steps = _embed_stack(stack)
         info = {}
         local_mds_embedding(noisy, info=info)
         assert steps[1] == info["smacof_iterations"]

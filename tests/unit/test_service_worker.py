@@ -1,5 +1,7 @@
 """Unit tests for the in-process worker: execution, retries, degradation."""
 
+import json
+
 import pytest
 
 from repro.observability.export import validate_trace_lines
@@ -39,13 +41,73 @@ class TestDetectorConfigMapping:
         assert type(noisy.error_model).__name__ == "UniformAbsoluteError"
 
     def test_degraded_overrides(self):
-        spec = JobSpec(engine="batch", workers=4)
+        spec = JobSpec(engine="sparse", workers=4)
         config = detector_config_for(spec, degraded=True)
         assert config.localization_config.engine == "pernode"
         assert config.workers == 1
         full = detector_config_for(spec, degraded=False)
-        assert full.localization_config.engine == "batch"
+        assert full.localization_config.engine == "sparse"
         assert full.workers == 4
+
+    def test_default_engine_is_the_production_engine(self):
+        assert JobSpec().engine == "sparse"
+        config = detector_config_for(JobSpec(), degraded=False)
+        assert config.localization_config.engine == "sparse"
+
+
+#: A queued ``job.json`` exactly as stores wrote it while ``batch`` was
+#: the default localization engine (format version 1).
+LEGACY_BATCH_RECORD = {
+    "job_id": "j00000-0123456789",
+    "spec": {
+        "kind": "detect",
+        "cell": None,
+        "scenario": "sphere",
+        "n_surface": 60,
+        "n_interior": 80,
+        "target_degree": 12.0,
+        "seed": 3,
+        "error": 0.2,
+        "epsilon": 0.001,
+        "theta": 8,
+        "ttl": 3,
+        "localization": "auto",
+        "engine": "batch",
+        "workers": 1,
+        "surface": False,
+        "surface_k": 4,
+        "test_delay_seconds": 0.0,
+    },
+    "state": "queued",
+    "attempts": 0,
+    "max_attempts": 3,
+    "generation": 0,
+    "degraded": False,
+    "budget_breached": None,
+    "cache_hit": False,
+    "result": None,
+    "error": None,
+    "not_before": 0.0,
+    "worker_id": None,
+    "created_at": 1000.0,
+    "updated_at": 1000.0,
+    "format_version": 1,
+}
+
+
+class TestLegacyRecords:
+    def test_batch_engine_record_runs_as_sparse(self, store):
+        job_dir = store.jobs_dir / LEGACY_BATCH_RECORD["job_id"]
+        job_dir.mkdir(parents=True)
+        (job_dir / "job.json").write_text(json.dumps(LEGACY_BATCH_RECORD))
+        assert store.load(LEGACY_BATCH_RECORD["job_id"]).spec.engine == "sparse"
+        assert fast_worker(store).run(exit_when_idle=True) == 1
+        record = store.load(LEGACY_BATCH_RECORD["job_id"])
+        assert record.state == STATE_DONE
+        assert not record.degraded
+        assert record.spec.engine == "sparse"
+        trace = store.trace_path(record.job_id).read_text()
+        assert '"engine": "sparse"' in trace
 
 
 class TestExecuteJob:

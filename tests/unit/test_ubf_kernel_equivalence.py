@@ -1,12 +1,12 @@
-"""Differential tests: every UBF kernel against the naive oracle.
+"""Differential tests: the batched UBF kernel against the naive oracle.
 
-The kernels of :mod:`repro.geometry.ballfit` promise *identical*
+The two kernels of :mod:`repro.geometry.ballfit` promise *identical*
 observables -- same boundary verdict, same witness ball, same
 ``balls_tested`` / ``points_checked`` counters -- on every input.  The
-vectorized, batched, and native kernels additionally promise bit-equal
-witness centers among themselves (they share the Eq.-1 arithmetic); the
-naive scalar solver is compared with a tight tolerance.  These tests
-enforce the contract on:
+batched kernel's native C scan and its numpy waves additionally promise
+bit-equal witness centers (they share the Eq.-1 arithmetic); the naive
+scalar solver is compared with a tight tolerance.  These tests enforce
+the contract on:
 
 * deployed networks across the paper's shape library and both ``eps``
   regimes, in both ``find_first`` modes;
@@ -16,18 +16,23 @@ enforce the contract on:
   pairs, tangent (circumradius == radius) balls, and under-connected nodes;
 * the candidate enumeration order itself, which the counter equality
   silently depends on;
-* the network-batched entry point against the per-node kernels, and the
-  native C scan (when a compiler is available) against the numpy waves,
-  including the compiler-less fallback path.
+* the network-batched entry point against the naive oracle, its
+  invariance to node slicing, and the native C scan (when a compiler is
+  available) against the numpy waves, including the compiler-less
+  fallback path.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro import DeploymentConfig, generate_network, scenario_by_name
-from repro.core.ubf import ubf_classify_frame
+import repro.core.ubf as ubf_module
+from repro.core.config import UBFConfig
+from repro.core.ubf import run_ubf, ubf_classify_frame
 from repro.geometry.ballfit import (
     BallFitResult,
     balls_through_point_pairs,
@@ -53,25 +58,38 @@ EPS_VALUES = (1e-3, 0.2)
 
 
 def assert_results_equal(
-    vec: BallFitResult, naive: BallFitResult, *, bit_equal_centers: bool = False
+    got: BallFitResult, naive: BallFitResult, *, bit_equal_centers: bool = False
 ) -> None:
     """Full observable equality between two kernels' results.
 
     ``bit_equal_centers`` asserts the witness centers byte for byte --
-    valid between the vectorized / batched / native kernels, which share
-    the Eq.-1 arithmetic operation for operation.  The naive scalar solver
+    valid between runs of the batched kernel (native scan or numpy
+    waves, any slicing), which share the Eq.-1 arithmetic.  The naive scalar solver
     differs from them by ~1 ulp, hence the default tolerance comparison.
     """
-    assert vec.is_boundary == naive.is_boundary
-    assert vec.balls_tested == naive.balls_tested
-    assert vec.points_checked == naive.points_checked
-    assert vec.witness_pair == naive.witness_pair
+    assert got.is_boundary == naive.is_boundary
+    assert got.balls_tested == naive.balls_tested
+    assert got.points_checked == naive.points_checked
+    assert got.witness_pair == naive.witness_pair
     if naive.empty_center is None:
-        assert vec.empty_center is None
+        assert got.empty_center is None
     elif bit_equal_centers:
-        assert np.array_equal(vec.empty_center, naive.empty_center)
+        assert np.array_equal(got.empty_center, naive.empty_center)
     else:
-        np.testing.assert_allclose(vec.empty_center, naive.empty_center, atol=1e-9)
+        np.testing.assert_allclose(got.empty_center, naive.empty_center, atol=1e-9)
+
+
+@contextlib.contextmanager
+def numpy_scan(monkeypatch):
+    """Run the batched kernel with its numpy waves (native scan disabled)."""
+    with monkeypatch.context() as patch:
+        patch.setenv(NATIVE_ENV_VAR, "0")
+        reset_kernel_cache()
+        try:
+            yield
+        finally:
+            reset_kernel_cache()
+    reset_kernel_cache()
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -92,13 +110,13 @@ class TestNetworkDifferential:
         nodes = range(0, graph.n_nodes, 3)
         for node in nodes:
             frame = true_local_frame(graph, node)
-            vec = ubf_classify_frame(
-                frame, radius, find_first=find_first, kernel="vectorized"
+            fast = ubf_classify_frame(
+                frame, radius, find_first=find_first, kernel="batched"
             )
             naive = ubf_classify_frame(
                 frame, radius, find_first=find_first, kernel="naive"
             )
-            assert_results_equal(vec, naive)
+            assert_results_equal(fast, naive)
 
     def test_chunk_size_is_observably_invisible(self, scenario_network):
         """Any chunking must yield the same observables (incl. early exit)."""
@@ -107,10 +125,10 @@ class TestNetworkDifferential:
         frame = true_local_frame(graph, 0)
         reference = ubf_classify_frame(frame, radius, kernel="naive")
         for chunk_size in (1, 2, 7, 64, 4096):
-            vec = ubf_classify_frame(
-                frame, radius, kernel="vectorized", chunk_size=chunk_size
+            fast = ubf_classify_frame(
+                frame, radius, kernel="batched", chunk_size=chunk_size
             )
-            assert_results_equal(vec, reference)
+            assert_results_equal(fast, reference)
 
 
 class TestRandomizedDifferential:
@@ -129,13 +147,13 @@ class TestRandomizedDifferential:
             radius = float(rng.uniform(0.8, 1.6))
             chunk_size = int(rng.integers(1, 40))
             find_first = bool(rng.integers(0, 2))
-            vec = empty_ball_exists(
+            fast = empty_ball_exists(
                 origin,
                 neighbors,
                 radius,
                 check_points=check,
                 find_first=find_first,
-                kernel="vectorized",
+                kernel="batched",
                 chunk_size=chunk_size,
             )
             naive = empty_ball_exists(
@@ -146,13 +164,13 @@ class TestRandomizedDifferential:
                 find_first=find_first,
                 kernel="naive",
             )
-            assert_results_equal(vec, naive)
+            assert_results_equal(fast, naive)
 
 
 class TestDegenerateGeometry:
     """Edge cases where Eq. 1 has 0 or 1 solutions, or no pairs at all."""
 
-    @pytest.mark.parametrize("kernel", ["naive", "vectorized", "batched"])
+    @pytest.mark.parametrize("kernel", ["naive", "batched"])
     def test_fewer_than_two_neighbors_is_conservative_boundary(self, kernel):
         out = empty_ball_exists(
             [0.0, 0.0, 0.0], [[0.5, 0.0, 0.0]], 1.0, kernel=kernel
@@ -161,20 +179,22 @@ class TestDegenerateGeometry:
         assert out.balls_tested == 0
         assert out.points_checked == 0
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_exactly_collinear_neighbors_yield_no_candidates(self, kernel):
+    def test_exactly_collinear_neighbors_yield_no_candidates(self):
         origin = np.zeros(3)
         neighbors = np.array([[0.3, 0.0, 0.0], [0.6, 0.0, 0.0], [0.9, 0.0, 0.0]])
-        fast = empty_ball_exists(origin, neighbors, 1.0, kernel=kernel)
+        fast = empty_ball_exists(origin, neighbors, 1.0, kernel="batched")
         naive = empty_ball_exists(origin, neighbors, 1.0, kernel="naive")
         assert_results_equal(fast, naive)
         # All triples are collinear: zero candidate balls, conservative True.
         assert fast.is_boundary and fast.balls_tested == 0
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
+    @pytest.mark.parametrize("path", ["vectorized", "batched"])
     @pytest.mark.parametrize("jitter", [1e-12, 1e-9, 1e-6, 1e-4])
-    def test_near_collinear_pairs(self, jitter, kernel):
-        """Every kernel must cross the degeneracy threshold identically."""
+    def test_near_collinear_pairs(self, jitter, path):
+        """Every Eq.-1 implementation must cross the degeneracy threshold
+        identically: the vectorized per-node enumeration
+        (``balls_through_point_pairs``) against the scalar solver, and the
+        batched kernel against the naive oracle."""
         origin = np.zeros(3)
         neighbors = np.array(
             [
@@ -183,17 +203,31 @@ class TestDegenerateGeometry:
                 [0.2, 0.3, 0.1],
             ]
         )
+        if path == "vectorized":
+            centers, pairs = balls_through_point_pairs(origin, neighbors, 1.05)
+            expected = [
+                (c, (j, k))
+                for j, k in ((0, 1), (0, 2), (1, 2))
+                for c in balls_through_three_points(
+                    origin, neighbors[j], neighbors[k], 1.05
+                )
+            ]
+            assert [tuple(p) for p in pairs] == [jk for _, jk in expected]
+            if expected:
+                np.testing.assert_allclose(
+                    centers, np.array([c for c, _ in expected]), atol=1e-9
+                )
+            return
         for find_first in (True, False):
             fast = empty_ball_exists(
-                origin, neighbors, 1.05, find_first=find_first, kernel=kernel
+                origin, neighbors, 1.05, find_first=find_first, kernel=path
             )
             naive = empty_ball_exists(
                 origin, neighbors, 1.05, find_first=find_first, kernel="naive"
             )
             assert_results_equal(fast, naive)
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_tangent_pair_counts_single_candidate(self, kernel):
+    def test_tangent_pair_counts_single_candidate(self):
         """Circumradius == radius: one center, counted once by every kernel."""
         radius = 1.0
         # Equilateral-ish triangle inscribed so its circumradius equals r.
@@ -205,7 +239,7 @@ class TestDegenerateGeometry:
         centers = balls_through_three_points(origin, neighbors[0], neighbors[1], radius)
         assert len(centers) == 1  # tangent: the circumcenter only
         fast = empty_ball_exists(
-            origin, neighbors, radius, find_first=False, kernel=kernel
+            origin, neighbors, radius, find_first=False, kernel="batched"
         )
         naive = empty_ball_exists(
             origin, neighbors, radius, find_first=False, kernel="naive"
@@ -213,11 +247,10 @@ class TestDegenerateGeometry:
         assert_results_equal(fast, naive)
         assert fast.balls_tested == 1
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_circumradius_exceeding_radius_yields_no_ball(self, kernel):
+    def test_circumradius_exceeding_radius_yields_no_ball(self):
         origin = np.array([0.0, 0.0, 0.0])
         neighbors = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        fast = empty_ball_exists(origin, neighbors, 1.0, kernel=kernel)
+        fast = empty_ball_exists(origin, neighbors, 1.0, kernel="batched")
         naive = empty_ball_exists(origin, neighbors, 1.0, kernel="naive")
         assert_results_equal(fast, naive)
         assert fast.balls_tested == 0 and fast.is_boundary
@@ -243,7 +276,7 @@ def _random_batch(rng, n_nodes):
 
 
 class TestBatchedKernel:
-    """The network-batched kernel against the per-node kernels."""
+    """The network-batched entry point against the naive oracle."""
 
     @pytest.mark.parametrize("find_first", [True, False])
     def test_batched_agrees_on_network(self, scenario_network, find_first):
@@ -260,10 +293,10 @@ class TestBatchedKernel:
             find_first=find_first,
         )
         for frame, got in zip(frames, batch):
-            vec = ubf_classify_frame(
-                frame, radius, find_first=find_first, kernel="vectorized"
+            naive = ubf_classify_frame(
+                frame, radius, find_first=find_first, kernel="naive"
             )
-            assert_results_equal(got, vec, bit_equal_centers=True)
+            assert_results_equal(got, naive)
 
     @pytest.mark.parametrize("find_first", [True, False])
     def test_randomized_batches(self, find_first):
@@ -337,7 +370,9 @@ class TestNativeKernel:
         load_kernels() is None, reason="no C compiler / native kernels disabled"
     )
     @pytest.mark.parametrize("find_first", [True, False])
-    def test_native_bit_identical_to_batched(self, scenario_network, find_first):
+    def test_native_bit_identical_to_batched(
+        self, scenario_network, find_first, monkeypatch
+    ):
         graph = scenario_network.graph
         radius = 1.0 + 0.2
         frames = [
@@ -346,35 +381,52 @@ class TestNativeKernel:
         origins = np.stack([f.origin_coordinates for f in frames])
         nbrs = [f.neighbor_coordinates for f in frames]
         checks = [f.collection_coordinates for f in frames]
-        batched = empty_ball_exists_batch(
-            origins, nbrs, radius, check_sets=checks,
-            find_first=find_first, kernel="batched",
-        )
         native = empty_ball_exists_batch(
-            origins, nbrs, radius, check_sets=checks,
-            find_first=find_first, kernel="native",
+            origins, nbrs, radius, check_sets=checks, find_first=find_first
         )
-        for a, b in zip(native, batched):
+        with numpy_scan(monkeypatch):
+            assert load_kernels() is None
+            waves = empty_ball_exists_batch(
+                origins, nbrs, radius, check_sets=checks, find_first=find_first
+            )
+        for a, b in zip(native, waves):
             assert_results_equal(a, b, bit_equal_centers=True)
 
     def test_native_falls_back_without_compiler(self, monkeypatch):
-        """kernel='native' must stay correct when the C path is unavailable."""
-        monkeypatch.setenv(NATIVE_ENV_VAR, "0")
-        reset_kernel_cache()
-        try:
+        """The batched kernel stays correct when the C path is unavailable."""
+        with numpy_scan(monkeypatch):
             assert load_kernels() is None
             rng = np.random.default_rng(6)
             origins, nbrs, checks = _random_batch(rng, 6)
-            fallback = empty_ball_exists_batch(
-                origins, nbrs, 1.1, check_sets=checks, kernel="native"
-            )
+            fallback = empty_ball_exists_batch(origins, nbrs, 1.1, check_sets=checks)
             for i, got in enumerate(fallback):
                 naive = empty_ball_exists(
                     origins[i], nbrs[i], 1.1, check_points=checks[i], kernel="naive"
                 )
                 assert_results_equal(got, naive)
-        finally:
-            reset_kernel_cache()
+
+
+class TestSlabInvariance:
+    """``run_ubf``'s node slicing is a memory bound only."""
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+    @pytest.mark.parametrize("find_first", [True, False])
+    def test_outcomes_independent_of_slab_size(
+        self, find_first, native, monkeypatch
+    ):
+        network = generate_network(
+            scenario_by_name("sphere"), DEPLOYS["sphere"], scenario="sphere"
+        )
+        n = network.graph.n_nodes
+        naive = run_ubf(
+            network, UBFConfig(kernel="naive"), find_first=find_first
+        )
+        scan = contextlib.nullcontext() if native else numpy_scan(monkeypatch)
+        with scan:
+            for slab in (1, 7, 256, n):
+                monkeypatch.setattr(ubf_module, "UBF_BATCH_NODES", slab)
+                got = run_ubf(network, UBFConfig(), find_first=find_first)
+                assert got == naive, f"slab size {slab} changed outcomes"
 
 
 class TestEnumerationOrder:
