@@ -83,6 +83,7 @@ class SurfaceRouter:
         self.mesh = mesh
         self._adjacency = mesh.adjacency()
         self._members: Set[int] = set(mesh.group) if mesh.group else set(mesh.vertices)
+        self._owner: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Landmark resolution
@@ -96,14 +97,13 @@ class SurfaceRouter:
         """
         if node in self._adjacency:
             return node
-        hops = self.graph.bfs_hops([node], within=self._members)
-        best: Optional[tuple] = None
-        for landmark in self.mesh.vertices:
-            if landmark in hops:
-                candidate = (hops[landmark], landmark)
-                if best is None or candidate < best:
-                    best = candidate
-        return best[1] if best else None
+        if self._owner is None:
+            # One multi-source sweep from all landmarks answers every query.
+            _, self._owner = self.graph.nearest_source(
+                self.mesh.vertices, within=self._members
+            )
+        owner = int(self._owner[node])
+        return owner if owner >= 0 else None
 
     # ------------------------------------------------------------------
     # Landmark-level forwarding

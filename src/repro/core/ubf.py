@@ -28,6 +28,7 @@ from repro.network.graph import NetworkGraph
 from repro.network.localization import (
     LocalFrame,
     establish_local_frame,
+    true_frames,
     true_local_frame,
 )
 from repro.network.measurement import MeasuredDistances
@@ -200,10 +201,15 @@ def _run_ubf_nodes(
             return trilateration_local_frame(graph, measured, node, hops=hops)
         return true_local_frame(graph, node, hops=hops)
 
+    def slab_frames(chunk: List[int]) -> List[LocalFrame]:
+        if frames is None and localization == "true":
+            return true_frames(graph, chunk, hops)
+        return [frame_of(node) for node in chunk]
+
     node_list = list(node_ids)
     if config.kernel == "batched":
         return _run_ubf_nodes_batched(
-            node_list, frame_of, radius, config, find_first
+            node_list, slab_frames, radius, config, find_first
         )
     outcomes: List[UBFNodeOutcome] = []
     for node in node_list:
@@ -229,15 +235,16 @@ def _run_ubf_nodes(
 
 def _run_ubf_nodes_batched(
     node_list: List[int],
-    frame_of,
+    slab_frames,
     radius: float,
     config: UBFConfig,
     find_first: bool,
 ) -> List[UBFNodeOutcome]:
     """Batched classification: whole node slices per kernel call.
 
-    Frames are still built one node at a time (that is the localization
-    stage's job), but the emptiness search runs network-wide through
+    ``slab_frames(chunk)`` builds the frames of one slice (ground-truth
+    frames in one :func:`repro.network.localization.true_frames` sweep,
+    measured ones node by node), and the emptiness search runs through
     :func:`repro.geometry.ballfit.empty_ball_exists_batch` in slices of
     :data:`UBF_BATCH_NODES`, eliminating per-node kernel dispatch.
     Outcome order and observables are identical to the per-node loop.
@@ -245,7 +252,7 @@ def _run_ubf_nodes_batched(
     outcomes: List[UBFNodeOutcome] = []
     for s in range(0, len(node_list), UBF_BATCH_NODES):
         chunk = node_list[s : s + UBF_BATCH_NODES]
-        batch_frames = [frame_of(node) for node in chunk]
+        batch_frames = slab_frames(chunk)
         fits = empty_ball_exists_batch(
             np.stack([f.origin_coordinates for f in batch_frames])
             if batch_frames

@@ -13,9 +13,12 @@ Two equivalent adjacency representations coexist:
 * a CSR view (:meth:`csr`: ``indptr``/``indices`` with neighbor columns
   sorted per row), which backs the vectorized bulk queries -- ``degrees``,
   ``edges``, :meth:`edge_values` (edge-aligned per-edge data, e.g. measured
-  distances) and :meth:`k_hop_collections` (every node's k-hop collection
-  in one multi-source sweep).  The scalar BFS entry points are kept as the
-  differential oracle the vectorized sweep is property-tested against.
+  distances) and the two k-hop primitives every traversal question in the
+  pipeline goes through: :meth:`hop_reach` (an independent bounded BFS per
+  source -- frames, IFF floods, landmark pairs) and :meth:`nearest_source`
+  (one multi-source BFS with lowest-ID ownership -- Voronoi cells, hop
+  lengths).  The scalar :meth:`bfs_hops` is kept as the differential
+  oracle both are property-tested against.
 """
 
 from __future__ import annotations
@@ -28,10 +31,54 @@ import numpy as np
 from repro.geometry.primitives import as_points
 from repro.geometry.spatial_index import UniformGridIndex, auto_cell_size
 
-#: Sources swept per block in :meth:`NetworkGraph.k_hop_collections`; bounds
-#: the ``block x n`` hop table to a few MB regardless of network size.  The
-#: per-source results are independent, so the block size never changes them.
-KHOP_BLOCK_SIZE = 1024
+#: int32 cells per block of the ``(sources, width)`` hop table behind
+#: :meth:`NetworkGraph.hop_reach` (8 MB).  Purely a memory bound: rows are
+#: independent BFS runs, so the blocking never changes a result.
+HOP_TABLE_CELLS = 1 << 21
+
+
+def _gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows`` concatenated in one gather, and their lengths."""
+    counts = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    pos = np.arange(total) + np.repeat(indptr[rows] - ends + counts, counts)
+    return indices[pos], counts
+
+
+def _sweep(
+    indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, hops: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`NetworkGraph.hop_reach` over one CSR graph; a negative source
+    yields an empty row."""
+    width = max(indptr.size - 1, 1)
+    block = max(1, min(sources.size, HOP_TABLE_CELLS // width))
+    # One flat hop table reused by every block: cell ``row * width + node``
+    # holds the hop at which the block row's source reached ``node``.
+    hop_of = np.full(block * width, -1, dtype=np.int32)
+    cells, hop = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
+    for start in range(0, sources.size, block):
+        row = np.flatnonzero(sources[start : start + block] >= 0)
+        node = sources[start + row]
+        frontier = row * width + node
+        hop_of[frontier] = 0
+        reached = [frontier]
+        for h in range(1, hops + 1):
+            dst, degree = _gather_rows(indptr, indices, node)
+            frontier = np.repeat(row * width, degree) + dst
+            frontier = np.unique(frontier[hop_of[frontier] < 0])
+            hop_of[frontier] = h
+            reached.append(frontier)
+            row, node = np.divmod(frontier, width)
+        done = np.sort(np.concatenate(reached))
+        hop.append(hop_of[done])
+        hop_of[done] = -1
+        cells.append(done + start * width)
+    row, node = np.divmod(np.concatenate(cells), width)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=sources.size))))
+    return indptr, node, np.concatenate(hop).astype(np.int64)
 
 
 class NetworkGraph:
@@ -300,81 +347,105 @@ class NetworkGraph:
                 queue.append(v)
         return hops
 
-    def k_hop_collections(
+    def hop_reach(
         self,
+        sources: Sequence[int],
         hops: int,
         *,
-        sources: Optional[Sequence[int]] = None,
-        block_size: int = KHOP_BLOCK_SIZE,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Every source's ``hops``-hop collection in one vectorized sweep.
+        within: Optional[Iterable[int]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """An independent ``hops``-bounded BFS from every source, as CSR.
 
-        Semantically equivalent to ``bfs_hops([s], max_hops=hops)`` run for
-        each source independently (the dict/deque implementation above is
-        kept as the differential oracle), but all sources advance frontier
-        by frontier together: each hop expands every frontier entry through
-        the CSR adjacency with one gather instead of per-node Python loops.
-
-        Parameters
-        ----------
-        hops:
-            Collection radius; ``0`` yields just the sources themselves.
-        sources:
-            Source node IDs (all nodes when None).  Results are per-source
-            independent, so any subset returns exactly what the full sweep
-            would -- the shard driver relies on this.
-        block_size:
-            Sources processed per internal block (memory bound only; the
-            results never depend on it).
-
-        Returns
-        -------
-        list of ``(nodes, hop_counts)`` pairs, one per source in input
-        order: ``nodes`` is ascending and includes the source itself (hop
-        0); ``hop_counts[k]`` is the hop distance of ``nodes[k]``.
+        Row ``i`` (``nodes``/``hop`` over ``indptr[i]:indptr[i+1]``) equals
+        ``bfs_hops([sources[i]], within=within, max_hops=hops)``, nodes
+        ascending; duplicate sources give duplicate rows, and a source
+        outside ``within`` an empty one.  With ``within`` the sweep runs on
+        the induced subgraph relabelled to a compact index, so its hop
+        table is only as wide as the subgraph.  Returns int64
+        ``(indptr, nodes, hop)``.
         """
         if hops < 0:
             raise ValueError("hops must be non-negative")
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
+        if within is None:
+            return _sweep(self._indptr, self._indices, self._source_array(sources), hops)
+        sub = self._member_array(within)
+        src = self._source_array(sources)
+        label = np.full(self.n_nodes, -1, dtype=np.int64)
+        label[sub] = np.arange(sub.size)
+        # The induced subgraph's CSR: the members' rows, restricted to
+        # member columns and relabelled into [0, len(sub)).
+        cols, counts = _gather_rows(self._indptr, self._indices, sub)
+        keep = label[cols] >= 0
+        rows = np.repeat(np.arange(sub.size), counts)[keep]
+        sub_indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=sub.size))))
+        indptr, local, hop = _sweep(sub_indptr, label[cols[keep]], label[src], hops)
+        return indptr, sub[local], hop
+
+    def nearest_source(
+        self,
+        sources: Sequence[int],
+        *,
+        within: Optional[Iterable[int]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Hop distance to, and ID of, the nearest source for every node.
+
+        One level-synchronous multi-source BFS.  ``hops`` equals
+        ``bfs_hops(sources, within=within)``; ``owner`` is the lowest-ID
+        source at that distance.  A node first reached at level ``h`` takes
+        the minimum owner among its neighbours at level ``h - 1``: every
+        shortest path to it runs through one of them, so that minimum is
+        the smallest source at distance ``h``.  Both int64 arrays are
+        indexed by node ID and hold ``-1`` where no source reaches.
+        """
         n = self.n_nodes
-        src_all = (
-            np.arange(n, dtype=np.int64)
-            if sources is None
-            else np.asarray([int(s) for s in sources], dtype=np.int64)
+        inside = np.zeros(n, dtype=bool)
+        inside[np.arange(n) if within is None else self._member_array(within)] = True
+        src = np.unique(self._source_array(sources))
+        src = src[inside[src]]
+        hops = np.full(n, -1, dtype=np.int64)
+        owner = np.full(n, -1, dtype=np.int64)
+        hops[src] = 0
+        owner[src] = src
+        frontier = src
+        level = 0
+        while frontier.size:
+            level += 1
+            dst, counts = _gather_rows(self._indptr, self._indices, frontier)
+            fresh = (hops[dst] < 0) & inside[dst]
+            dst = dst[fresh]
+            via = np.repeat(owner[frontier], counts)[fresh]
+            frontier = np.unique(dst)
+            hops[frontier] = level
+            owner[frontier] = n  # above every ID: the minimum is taken over ``via``
+            np.minimum.at(owner, dst, via)
+        return hops, owner
+
+    def k_hop_collections(
+        self, hops: int, *, sources: Optional[Sequence[int]] = None
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`hop_reach` as a list of ``(nodes, hop_counts)`` per source.
+
+        ``sources`` defaults to every node; each pair includes the source
+        itself at hop 0.  Rows are per-source independent, so any subset
+        returns exactly what the full sweep would.
+        """
+        indptr, nodes, hop = self.hop_reach(
+            np.arange(self.n_nodes) if sources is None else sources, hops
         )
-        if src_all.size and (src_all.min() < 0 or src_all.max() >= n):
+        bounds = indptr.tolist()
+        return [(nodes[a:b], hop[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _source_array(self, sources: Sequence[int]) -> np.ndarray:
+        src = np.asarray(sources, dtype=np.int64).reshape(-1)
+        if src.size and (src.min() < 0 or src.max() >= self.n_nodes):
             raise ValueError("source ids must lie in [0, n_nodes)")
-        degrees = np.diff(self._indptr)
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        for start in range(0, src_all.size, block_size):
-            srcs = src_all[start : start + block_size]
-            b = srcs.size
-            hop_of = np.full((b, n), -1, dtype=np.int32)
-            hop_of[np.arange(b), srcs] = 0
-            frontier_row = np.arange(b)
-            frontier_node = srcs
-            for h in range(1, hops + 1):
-                counts = degrees[frontier_node]
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                # Gather the CSR rows of every frontier node in one shot.
-                starts = self._indptr[frontier_node]
-                ends = np.cumsum(counts)
-                offsets = np.arange(total) - np.repeat(ends - counts, counts)
-                expanded_dst = self._indices[np.repeat(starts, counts) + offsets]
-                expanded_row = np.repeat(frontier_row, counts)
-                fresh = hop_of[expanded_row, expanded_dst] < 0
-                # In-batch duplicates both write the same h: harmless.
-                hop_of[expanded_row[fresh], expanded_dst[fresh]] = h
-                frontier_row, frontier_node = np.nonzero(hop_of == h)
-                if frontier_row.size == 0:
-                    break
-            for r in range(b):
-                nodes = np.nonzero(hop_of[r] >= 0)[0]
-                results.append((nodes, hop_of[r, nodes].astype(int)))
-        return results
+        return src
+
+    def _member_array(self, within: Iterable[int]) -> np.ndarray:
+        sub = np.unique(np.fromiter(within, dtype=np.int64))
+        if sub.size and (sub[0] < 0 or sub[-1] >= self.n_nodes):
+            raise IndexError("within holds ids outside [0, n_nodes)")
+        return sub
 
     def shortest_path(
         self,

@@ -285,53 +285,23 @@ def _collect_frame_metas(
 
     Ordered member arrays mirror :func:`_frame_members`: the node itself,
     then its one-hop neighbors ascending, then the farther collection
-    ascending (``k_hop_collections`` returns nodes sorted ascending).
+    ascending.
     """
     collections = graph.k_hop_collections(hops, sources=node_ids)
     n_sources = len(node_ids)
-    counts = np.fromiter(
-        (c[0].size for c in collections), dtype=np.int64, count=n_sources
-    )
-    # One flat pass over every collection: a stable per-segment sort moving
-    # hop >= 2 members behind the one-hop ones (each segment arrives
-    # node-sorted, so stability preserves the ascending order within both
-    # halves), then the owning node is spliced in at each segment start.
-    all_nodes = (
-        np.concatenate([c[0] for c in collections]).astype(np.int64, copy=False)
-        if n_sources
-        else np.empty(0, dtype=np.int64)
-    )
-    all_hops = (
-        np.concatenate([c[1] for c in collections])
-        if n_sources
-        else np.empty(0, dtype=np.int64)
-    )
-    segment = np.repeat(np.arange(n_sources, dtype=np.int64), counts)
-    keep = all_hops >= 1  # collections may include the hop-0 source itself
-    all_nodes = all_nodes[keep]
-    all_hops = all_hops[keep]
-    segment = segment[keep]
-    farther_flag = all_hops >= 2
-    ordered = all_nodes[np.lexsort((farther_flag, segment))]
-    n_one_hop = np.bincount(
-        segment, weights=all_hops == 1, minlength=n_sources
-    ).astype(np.int64)
-
-    sizes = np.bincount(segment, minlength=n_sources).astype(np.int64) + 1
     frame_ptr = np.zeros(n_sources + 1, dtype=np.int64)
-    np.cumsum(sizes, out=frame_ptr[1:])
-    members_flat = np.empty(int(frame_ptr[-1]), dtype=np.int64)
-    starts = frame_ptr[:-1]
-    members_flat[starts] = np.asarray(node_ids, dtype=np.int64)
-    fill = np.ones(members_flat.size, dtype=bool)
-    fill[starts] = False
-    members_flat[fill] = ordered
-
-    metas: List[tuple] = []
-    for i, node in enumerate(node_ids):
-        members = members_flat[frame_ptr[i] : frame_ptr[i + 1]]
-        metas.append((node, members, int(n_one_hop[i])))
-    return metas
+    np.cumsum([c[0].size for c in collections], out=frame_ptr[1:])
+    all_nodes = np.concatenate([c[0] for c in collections] + [frame_ptr[:0]])
+    all_hops = np.concatenate([c[1] for c in collections] + [frame_ptr[:0]])
+    segment = np.repeat(np.arange(n_sources), np.diff(frame_ptr))
+    # Each collection arrives node-sorted with its source at hop 0, so a
+    # stable sort on (segment, min(hop, 2)) yields the frame order.
+    members_flat = all_nodes[np.lexsort((np.minimum(all_hops, 2), segment))]
+    n_one_hop = np.bincount(segment, weights=all_hops == 1, minlength=n_sources)
+    return [
+        (node, members_flat[frame_ptr[i] : frame_ptr[i + 1]], int(n_one_hop[i]))
+        for i, node in enumerate(node_ids)
+    ]
 
 
 def _group_by_size(metas: List[tuple]) -> Dict[int, List[int]]:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.network.graph import NetworkGraph
 from repro.surface.mesh import Edge, TriangularMesh, edge_key
 
@@ -32,19 +34,18 @@ def _hop_length_fn(graph: NetworkGraph, group: Set[int]) -> Callable[[int, int],
     Unreachable pairs (which should not occur inside one group) get a large
     finite length so they sort last among candidate edges.
     """
-    cache: Dict[Edge, int] = {}
-    expanded: Set[int] = set()
+    unreachable = len(group) + 1
+    # One single-source nearest_source sweep per queried landmark, cached:
+    # the hop array answers every later query from or to that landmark.
+    fronts: Dict[int, np.ndarray] = {}
 
     def hop_length(u: int, v: int) -> int:
-        key = edge_key(u, v)
-        if key not in cache and u not in expanded and v not in expanded:
-            # Cache the whole BFS front for u to amortize repeated queries.
-            hops = graph.bfs_hops([u], within=group)
-            for node, dist in hops.items():
-                if node != u:
-                    cache[edge_key(u, node)] = dist
-            expanded.add(u)
-        return cache.get(key, len(group) + 1)
+        if u not in fronts and v in fronts:
+            u, v = v, u
+        if u not in fronts:
+            fronts[u], _ = graph.nearest_source([u], within=group)
+        hops = int(fronts[u][v])
+        return hops if hops >= 0 else unreachable
 
     return hop_length
 

@@ -16,7 +16,9 @@ fixed point the distributed ID-priority election of
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
+
+import numpy as np
 
 from repro.network.graph import NetworkGraph
 
@@ -68,23 +70,23 @@ def assign_voronoi_cells(
     """Associate every group node with its closest landmark.
 
     Ties (equal hop distance to several landmarks) go to the landmark with
-    the smallest ID, the paper's tiebreaker.
+    the smallest ID, the paper's tiebreaker.  All landmarks flood together
+    in one :meth:`~repro.network.graph.NetworkGraph.nearest_source` sweep;
+    :func:`repro.runtime.protocols.run_voronoi_distributed` is the
+    message-level oracle.
 
     Returns
     -------
     dict mapping every reachable group node to its landmark ID.
     """
     members: Set[int] = set(int(g) for g in group)
-    best: Dict[int, Tuple[int, int]] = {}
-    for landmark in sorted(int(l) for l in landmarks):
+    sources = sorted(int(l) for l in landmarks)
+    for landmark in sources:
         if landmark not in members:
             raise ValueError(f"landmark {landmark} is not in the group")
-        hops = graph.bfs_hops([landmark], within=members)
-        for node, dist in hops.items():
-            incumbent = best.get(node)
-            if incumbent is None or (dist, landmark) < incumbent:
-                best[node] = (dist, landmark)
-    return {node: landmark for node, (_, landmark) in best.items()}
+    _, owner = graph.nearest_source(sources, within=members)
+    reached = np.flatnonzero(owner >= 0)
+    return dict(zip(reached.tolist(), owner[reached].tolist()))
 
 
 def cell_sizes(cells: Dict[int, int]) -> Dict[int, int]:

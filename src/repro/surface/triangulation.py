@@ -36,6 +36,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Set, Tuple
 
+import numpy as np
+
 from repro.network.graph import NetworkGraph
 from repro.surface.cdm import CDMResult
 from repro.surface.mesh import Edge, edge_key
@@ -77,16 +79,12 @@ def candidate_pairs(
     candidate_radius: int,
 ) -> Dict[Edge, int]:
     """Landmark pairs within ``candidate_radius`` hops, with hop distances."""
-    landmark_set = set(landmarks)
-    pairs: Dict[Edge, int] = {}
-    for landmark in sorted(landmarks):
-        hops = graph.bfs_hops([landmark], within=members, max_hops=candidate_radius)
-        for other, dist in hops.items():
-            if other != landmark and other in landmark_set:
-                key = edge_key(landmark, other)
-                if key not in pairs or dist < pairs[key]:
-                    pairs[key] = dist
-    return pairs
+    sources = np.asarray(sorted(landmarks), dtype=np.int64)
+    indptr, nodes, hop = graph.hop_reach(sources, candidate_radius, within=members)
+    source = np.repeat(sources, np.diff(indptr))
+    # Hop distances are symmetric: keep each pair once, from its smaller end.
+    pick = np.isin(nodes, sources) & (source < nodes)
+    return dict(zip(zip(source[pick].tolist(), nodes[pick].tolist()), hop[pick].tolist()))
 
 
 def complete_triangulation(

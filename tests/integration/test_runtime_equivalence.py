@@ -6,11 +6,14 @@ repro.surface is the fixed point of a one-hop message-passing protocol.
 """
 
 from collections import defaultdict
+from itertools import product
 
+import numpy as np
 import pytest
 
 from repro.core.grouping import group_boundary_nodes
 from repro.core.iff import iff_fragment_sizes
+from repro.network.graph import NetworkGraph
 from repro.runtime.protocols import (
     distributed_landmark_election,
     run_grouping_distributed,
@@ -83,3 +86,50 @@ class TestVoronoiEquivalence:
         expected = assign_voronoi_cells(graph, group, landmarks)
         got, _ = run_voronoi_distributed(graph, group, landmarks)
         assert got == expected
+
+
+def _lattice(*shape):
+    """Unit-spaced grid graph: every node's neighbours are its axis steps."""
+    return NetworkGraph(
+        np.array(list(product(*(range(k) for k in shape))), dtype=float),
+        radio_range=1.0,
+    )
+
+
+class TestVoronoiTieHeavyLattices:
+    """Hop distances on a grid are Manhattan distances, so many nodes sit
+    equidistant from two or more landmarks and the smaller-ID rule decides."""
+
+    @pytest.mark.parametrize(
+        "shape, landmarks",
+        [
+            ((9, 9, 1), [0, 8, 72, 80]),
+            ((9, 9, 1), [10, 16, 40, 64, 70]),
+            ((9, 9, 1), [40, 4, 76, 36, 44]),
+            ((5, 5, 5), [0, 4, 20, 24, 62, 100, 104, 120, 124]),
+            ((12, 3, 1), [0, 6, 13, 35]),
+        ],
+    )
+    def test_cells_match_protocol_and_per_landmark_oracle(self, shape, landmarks):
+        graph = _lattice(*shape)
+        group = range(graph.n_nodes)
+        cells = assign_voronoi_cells(graph, group, landmarks)
+        protocol, _ = run_voronoi_distributed(graph, group, landmarks)
+        assert cells == protocol
+        fronts = {l: graph.bfs_hops([l]) for l in landmarks}
+        ties = 0
+        for node in group:
+            dist = min(front[node] for front in fronts.values())
+            nearest = sorted(l for l, f in fronts.items() if f[node] == dist)
+            assert cells[node] == nearest[0]
+            ties += len(nearest) > 1
+        assert ties >= 4  # the lattice really exercises the tie-break
+
+    def test_cells_stay_inside_a_sub_group(self):
+        graph = _lattice(9, 9, 1)
+        group = [n for n in range(81) if n % 9 < 4 or n // 9 == 8]
+        landmarks = [0, 3, 80]
+        cells = assign_voronoi_cells(graph, group, landmarks)
+        protocol, _ = run_voronoi_distributed(graph, group, landmarks)
+        assert cells == protocol
+        assert set(cells) == set(group)

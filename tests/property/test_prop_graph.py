@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.network.graph as graph_module
 from repro.network.graph import NetworkGraph
 
 coord = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False, width=32)
@@ -152,21 +153,115 @@ class TestKHopCollections:
                 int(n): int(h) for n, h in zip(nodes, hop_counts)
             }
 
-    def test_block_size_does_not_change_results(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(0.0, 3.0, size=(30, 3))
-        g = NetworkGraph(pts, radio_range=1.0)
-        reference = g.k_hop_collections(2)
-        for block in (1, 7, 64):
-            blocked = g.k_hop_collections(2, block_size=block)
-            for (n1, h1), (n2, h2) in zip(reference, blocked):
-                assert np.array_equal(n1, n2) and np.array_equal(h1, h2)
-
     def test_invalid_arguments_rejected(self):
         g = NetworkGraph(np.zeros((3, 3)), radio_range=1.0)
         with pytest.raises(ValueError):
             g.k_hop_collections(-1)
         with pytest.raises(ValueError):
             g.k_hop_collections(2, sources=[5])
+
+
+def _rows(indptr, nodes, hop):
+    return [
+        {int(n): int(h) for n, h in zip(nodes[a:b], hop[a:b])}
+        for a, b in zip(indptr[:-1], indptr[1:])
+    ]
+
+
+node_sets = st.sets(st.integers(0, 19), max_size=20)
+
+
+class TestHopReach:
+    """``hop_reach`` rows versus one ``bfs_hops`` call per source."""
+
+    @given(
+        positions,
+        st.lists(st.integers(0, 19), max_size=8),
+        st.integers(0, 4),
+        st.one_of(st.none(), node_sets),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_bfs_oracle(self, pts, sources, hops, within):
+        g = NetworkGraph(pts, radio_range=1.0)
+        indptr, nodes, hop = g.hop_reach(sources, hops, within=within)
+        assert indptr.shape == (len(sources) + 1,) and indptr[0] == 0
+        for source, row in zip(sources, _rows(indptr, nodes, hop)):
+            assert row == g.bfs_hops([source], within=within, max_hops=hops)
+        for a, b in zip(indptr[:-1], indptr[1:]):
+            assert np.all(np.diff(nodes[a:b]) > 0)  # ascending within a row
+
+    def test_sources_outside_within_get_empty_rows(self):
+        # A 6-node path; the induced subpath 1-2-3-4 excludes source 0.
+        g = NetworkGraph([[0.8 * i, 0, 0] for i in range(6)], radio_range=1.0)
+        indptr, nodes, hop = g.hop_reach([0, 4, 4, 1], 3, within={1, 2, 3, 4})
+        assert _rows(indptr, nodes, hop) == [
+            {},
+            {1: 3, 2: 2, 3: 1, 4: 0},
+            {1: 3, 2: 2, 3: 1, 4: 0},
+            {1: 0, 2: 1, 3: 2, 4: 3},
+        ]
+
+    def test_no_sources(self):
+        g = NetworkGraph(np.zeros((3, 3)), radio_range=1.0)
+        for within in (None, {0, 1}, set()):
+            indptr, nodes, hop = g.hop_reach([], 2, within=within)
+            assert indptr.tolist() == [0] and nodes.size == 0 and hop.size == 0
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1 << 30])
+    @pytest.mark.parametrize(
+        "within", [None, set(range(0, 30, 2)) | {1, 3, 5}], ids=["full", "induced"]
+    )
+    def test_table_bound_does_not_change_results(self, cells, within, monkeypatch):
+        rng = np.random.default_rng(1)
+        g = NetworkGraph(rng.uniform(0.0, 3.0, size=(30, 3)), radio_range=1.0)
+        sources = list(range(30)) + [3, 3]
+        reference = g.hop_reach(sources, 3, within=within)
+        monkeypatch.setattr(graph_module, "HOP_TABLE_CELLS", cells)
+        blocked = g.hop_reach(sources, 3, within=within)
+        for want, got in zip(reference, blocked):
+            assert np.array_equal(want, got)
+
+    def test_invalid_arguments_rejected(self):
+        g = NetworkGraph(np.zeros((3, 3)), radio_range=1.0)
         with pytest.raises(ValueError):
-            g.k_hop_collections(2, block_size=0)
+            g.hop_reach([0], -1)
+        with pytest.raises(ValueError):
+            g.hop_reach([3], 1)
+        with pytest.raises(IndexError):
+            g.hop_reach([0], 1, within={0, 3})
+
+
+class TestNearestSource:
+    """``nearest_source`` versus multi-source and per-source ``bfs_hops``."""
+
+    @given(
+        positions,
+        st.lists(st.integers(0, 19), max_size=6),
+        st.one_of(st.none(), node_sets),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bfs_oracle(self, pts, sources, within):
+        g = NetworkGraph(pts, radio_range=1.0)
+        hops, owner = g.nearest_source(sources, within=within)
+        oracle = g.bfs_hops(sources, within=within)
+        assert {n: int(h) for n, h in enumerate(hops) if h >= 0} == oracle
+        assert np.array_equal(hops >= 0, owner >= 0)
+        per_source = {s: g.bfs_hops([s], within=within) for s in set(sources)}
+        for node, dist in oracle.items():
+            nearest = min(s for s, d in per_source.items() if d.get(node) == dist)
+            assert owner[node] == nearest
+
+    def test_ties_go_to_the_smaller_source(self):
+        # A 7-node path: node 3 is two hops from both sources, 1 and 5.
+        g = NetworkGraph([[0.8 * i, 0, 0] for i in range(7)], radio_range=1.0)
+        for sources in ([1, 5], [5, 1], [5, 1, 5]):
+            hops, owner = g.nearest_source(sources)
+            assert hops.tolist() == [1, 0, 1, 2, 1, 0, 1]
+            assert owner.tolist() == [1, 1, 1, 1, 5, 5, 5]
+
+    def test_invalid_sources_rejected(self):
+        g = NetworkGraph(np.zeros((3, 3)), radio_range=1.0)
+        with pytest.raises(ValueError):
+            g.nearest_source([3])
+        with pytest.raises(IndexError):
+            g.nearest_source([0], within=[7])

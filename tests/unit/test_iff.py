@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import IFFConfig
-from repro.core.iff import iff_fragment_sizes, run_iff
+from repro.core.iff import iff_fragment_sizes, iff_fragment_sizes_bfs, run_iff
 from repro.network.graph import NetworkGraph
 
 
@@ -33,6 +33,40 @@ class TestFragmentSizes:
         # (non-candidate nodes) does not forward floods.
         assert sizes[20] == 2
         assert sizes[21] == 2
+
+
+class TestAgainstDictBFSOracle:
+    """The one-sweep flood counts versus one dict BFS per candidate."""
+
+    @staticmethod
+    def _candidate_sets(network, detection):
+        candidates = set(detection.candidates)
+        x = network.graph.positions[:, 0]
+        # Two slabs far apart: the flood can never bridge them.
+        slabs = {n for n in candidates if x[n] < np.quantile(x, 0.3)} | {
+            n for n in candidates if x[n] > np.quantile(x, 0.7)
+        }
+        # A sparse thinning: dozens of small disconnected fragments.
+        rng = np.random.default_rng(3)
+        thinned = {n for n in candidates if rng.random() < 0.2}
+        return [candidates, slabs, thinned]
+
+    @pytest.mark.parametrize("ttl", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["sphere", "one_hole"])
+    def test_matches_oracle_on_pinned_networks(self, name, ttl, request):
+        network = request.getfixturevalue(f"{name}_network")
+        detection = request.getfixturevalue(f"{name}_detection")
+        graph = network.graph
+        for candidates in self._candidate_sets(network, detection):
+            assert iff_fragment_sizes(graph, candidates, ttl) == (
+                iff_fragment_sizes_bfs(graph, candidates, ttl)
+            )
+
+    def test_candidate_sets_are_disconnected(self, sphere_network, sphere_detection):
+        graph = sphere_network.graph
+        _, slabs, thinned = self._candidate_sets(sphere_network, sphere_detection)
+        assert len(graph.connected_components(within=slabs)) >= 2
+        assert len(graph.connected_components(within=thinned)) >= 10
 
 
 class TestRunIFF:

@@ -92,6 +92,23 @@ class TestLandmarkRouting:
         assert not result.delivered
 
 
+class TestNearestLandmarkOracle:
+    def test_matches_per_node_bfs_on_a_built_mesh(
+        self, sphere_network, sphere_detection
+    ):
+        from repro.surface.pipeline import SurfaceBuilder, SurfaceConfig
+
+        graph = sphere_network.graph
+        mesh = SurfaceBuilder(SurfaceConfig()).build(graph, sphere_detection.groups)[0]
+        router = SurfaceRouter(graph, mesh)
+        members = set(mesh.group)
+        for node in sorted(members):
+            hops = graph.bfs_hops([node], within=members)
+            reachable = [(hops[l], l) for l in mesh.vertices if l in hops]
+            expected = min(reachable)[1] if reachable else None
+            assert router.nearest_landmark(node) == expected
+
+
 class TestNodeRouting:
     def test_node_route_is_walk(self, octahedron_setup):
         graph, mesh = octahedron_setup

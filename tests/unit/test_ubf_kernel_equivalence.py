@@ -428,6 +428,30 @@ class TestSlabInvariance:
                 got = run_ubf(network, UBFConfig(), find_first=find_first)
                 assert got == naive, f"slab size {slab} changed outcomes"
 
+    def test_true_frames_built_once_per_slab(self, monkeypatch):
+        """Without precomputed frames, each slab's ground-truth frames come
+        from one ``true_frames`` sweep, with outcomes equal to those from
+        per-node ``true_local_frame`` frames."""
+        network = generate_network(
+            scenario_by_name("sphere"), DEPLOYS["sphere"], scenario="sphere"
+        )
+        graph = network.graph
+        hops = UBFConfig().collection_hops
+        nodes = list(range(0, graph.n_nodes, 3))
+        frames = {n: true_local_frame(graph, n, hops=hops) for n in nodes}
+        expected = run_ubf(network, nodes=nodes, frames=frames)
+        sweeps = []
+        sweep = ubf_module.true_frames
+
+        def counted(graph, chunk, hops):
+            sweeps.append(len(chunk))
+            return sweep(graph, chunk, hops)
+
+        monkeypatch.setattr(ubf_module, "true_frames", counted)
+        monkeypatch.setattr(ubf_module, "UBF_BATCH_NODES", 50)
+        assert run_ubf(network, nodes=nodes) == expected
+        assert sweeps == [50] * (len(nodes) // 50) + [len(nodes) % 50]
+
 
 class TestEnumerationOrder:
     """The batched Eq.-1 solver must enumerate exactly like a per-pair loop."""
